@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "util/cache_line.hpp"
+#include "util/layout.hpp"
 #include "util/sync_policy.hpp"
 
 namespace cab::deque {
@@ -335,10 +336,30 @@ class ChaseLevDeque {
   alignas(util::kCacheLineSize) Atomic<std::int64_t> top_;
   alignas(util::kCacheLineSize) Atomic<std::int64_t> bottom_;
   alignas(util::kCacheLineSize) Atomic<Ring*> ring_;
+  std::vector<std::unique_ptr<Ring>> rings_;  // owner-mutated only
+
+  friend struct ChaseLevDequeLayout;
+};
+
+/// Line map of the production deque (util/layout.hpp). T is always a
+/// pointer, so one instantiation stands for all of them.
+struct ChaseLevDequeLayout {
+  using D = ChaseLevDeque<void*>;
+  static_assert(
+      util::layout::owns_lines(CAB_SPAN(D, top_), CAB_OFFSETOF(D, bottom_)) &&
+          util::layout::owns_lines(CAB_SPAN(D, bottom_),
+                                   CAB_OFFSETOF(D, ring_)),
+      "tail-shared: ChaseLevDeque::top_ (thieves' CAS) and bottom_ (owner "
+      "stores) must each own their line");
   // tail-ok: rings_ is the grow-path retirement list, mutated only while
   // the owner is already rewriting ring_ itself — thieves re-acquire
   // ring_ after any grow, so sharing its tail line adds no traffic.
-  std::vector<std::unique_ptr<Ring>> rings_;  // owner-mutated only
+  static_assert(util::layout::owns_lines(
+                    util::layout::cluster(CAB_SPAN(D, ring_),
+                                          CAB_SPAN(D, rings_)),
+                    sizeof(D)),
+                "tail-shared: ChaseLevDeque::ring_ may share its line with "
+                "rings_ only");
 };
 
 }  // namespace cab::deque

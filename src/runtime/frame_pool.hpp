@@ -11,6 +11,7 @@
 #include "runtime/task.hpp"
 #include "util/assert.hpp"
 #include "util/cache_line.hpp"
+#include "util/layout.hpp"
 #include "util/sync_policy.hpp"
 
 namespace cab::runtime {
@@ -74,6 +75,12 @@ class MpscIntrusiveStack {
   alignas(util::kCacheLineSize) Atomic<Node*> head_{nullptr};
 };
 
+static_assert(
+    util::layout::one_line_anywhere<MpscIntrusiveStack<TaskFrame>>() &&
+        sizeof(MpscIntrusiveStack<TaskFrame>) == util::kCacheLineSize,
+    "tail-shared: MpscIntrusiveStack::head_ must own a whole line in any "
+    "host");
+
 /// Per-worker NUMA-local recycling allocator for TaskFrames.
 ///
 /// Steady state allocates nothing: acquire() is a freelist pop, release
@@ -93,9 +100,9 @@ class MpscIntrusiveStack {
 /// owner (Runtime::run uses this for the root frame).
 class FramePool {
  public:
-  /// Frames per slab: 64 frames ≈ 8 KiB, i.e. two pages — big enough to
-  /// amortize cold-start carving to one allocation per 64 spawns, small
-  /// enough that an idle worker strands at most a few KiB.
+  /// Frames per slab: 64 frames = 9 KiB, just over two pages — big
+  /// enough to amortize cold-start carving to one allocation per 64
+  /// spawns, small enough that an idle worker strands at most a few KiB.
   static constexpr std::size_t kFramesPerSlab = 64;
 
   FramePool() = default;
@@ -187,6 +194,15 @@ class FramePool {
   TaskFrame* free_ = nullptr;
   std::vector<void*> slabs_;
   MpscIntrusiveStack<TaskFrame> remote_;
+
+  friend struct FramePoolLayout;
+};
+
+struct FramePoolLayout {
+  static_assert(util::layout::disjoint_lines(CAB_SPAN(FramePool, free_),
+                                             CAB_SPAN(FramePool, remote_)),
+                "hot-cohabit: remote frees must not invalidate the owner's "
+                "FramePool::free_ line");
 };
 
 /// A LazyStack slot: a full TaskFrame plus the promotion claim word
@@ -224,6 +240,15 @@ struct alignas(util::kCacheLineSize) LazyFrame {
   }
 };
 
+// share-ok: claim shares the frame's last line with home and pool_next,
+// which a slot frame never writes (slots belong to no pool); the frame's
+// one cross-thread word, completed, must stay on an earlier line.
+static_assert(util::layout::disjoint_lines(
+                  CAB_SPAN(LazyFrame, frame.completed),
+                  CAB_SPAN(LazyFrame, claim)),
+              "hot-cohabit: LazyFrame::claim and frame.completed must not "
+              "share a line");
+
 /// Per-worker stack of LazyFrame slots backing the lazy spawn fast path:
 /// the child frame a spawn publishes lives here — no pool round trip —
 /// and is reclaimed in place when the owner executes it, or released by
@@ -245,7 +270,7 @@ class LazyStack {
  public:
   /// Slots per worker: bounds the lazy suffix of one worker's spawn tree.
   /// Depth-first execution keeps the live count near the spawn depth (a
-  /// few dozen), so 512 slots (~72 KiB) make eager overflow an exotic
+  /// few dozen), so 512 slots (96 KiB) make eager overflow an exotic
   /// fallback, not a steady-state path.
   static constexpr std::size_t kSlots = 512;
 

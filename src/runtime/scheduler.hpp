@@ -24,6 +24,7 @@
 #include "runtime/stats.hpp"
 #include "runtime/task.hpp"
 #include "util/cache_line.hpp"
+#include "util/layout.hpp"
 #include "util/rng.hpp"
 
 namespace cab::runtime {
@@ -115,12 +116,11 @@ struct Squad {
   bool busy() const { return busy_state.busy(); }
 };
 
+static_assert(util::layout::owns_lines(CAB_SPAN(Squad, busy_state),
+                                       CAB_OFFSETOF(Squad, occupancy)),
+              "tail-shared: Squad::busy_state must own its line");
+
 /// One worker thread, affiliated with one (virtual) core.
-///
-/// order-ok: fields are declared in acquire-path access order (identity,
-/// epoch binding, pools, observability), not packed by alignment — the
-/// line of padding a repack would reclaim is irrelevant at one Worker
-/// per core.
 struct Worker {
   /// Upper bound on one steal_batch transfer. Half of a long deque still
   /// caps here: past ~16 tasks the thief's claim window (and the surplus
@@ -285,6 +285,16 @@ struct Worker {
   void finish(TaskFrame* t);
 };
 
+static_assert(util::layout::disjoint_lines(CAB_SPAN(Worker, intra),
+                                           CAB_SPAN(Worker, pool)),
+              "hot-cohabit: Worker::intra and pool must not share a line");
+// order-ok: fields are declared in acquire-path access order (identity,
+// epoch binding, pools, observability), not packed by alignment — the
+// line of padding a repack would reclaim is irrelevant at one Worker
+// per core.
+static_assert(util::layout::within_lines(sizeof(Worker), 12),
+              "reorder-waste: Worker outgrew its 12-line budget");
+
 /// One in-flight run()/run_on() epoch over a subset of squads — the unit
 /// of *space partitioning*. The classic single-caller run() uses a
 /// permanent context covering every squad (Engine::full_ctx); the job
@@ -299,10 +309,6 @@ struct Worker {
 /// global steal walks `workers` — so a partition never sees (or leaks)
 /// another job's tasks, which is what preserves both the paper's
 /// cache-affinity argument and per-job task conservation.
-///
-/// order-ok: the line of padding an alignment repack would reclaim is
-/// the price of keeping root_done line-aligned *and last* (see its
-/// comment); contexts are one-per-epoch, not per-core.
 struct EpochContext {
   /// Tier assignment for this epoch's DAG. bl is relative to the
   /// *partition*: Eq. 4 with M = squads.size(). Mutated only between
@@ -336,7 +342,7 @@ struct EpochContext {
   /// finishing implies every descendant already has, by implicit-sync
   /// induction). Every parked-at-sync worker polls this flag, so it is
   /// the *last* member: line-aligned at the front, and nothing behind it
-  /// can move onto its line (cab_layout's tail-shared rule).
+  /// can move onto its line (asserted below the struct).
   alignas(util::kCacheLineSize) std::atomic<bool> root_done{true};
 
   void capture_exception(std::exception_ptr e) {
@@ -352,13 +358,21 @@ struct EpochContext {
   }
 };
 
+static_assert(util::layout::one_line(CAB_SPAN(EpochContext, exception_mu)),
+              "hot-straddle: EpochContext::exception_mu must sit in one "
+              "line");
+static_assert(util::layout::owns_lines(CAB_SPAN(EpochContext, root_done),
+                                       sizeof(EpochContext)),
+              "tail-shared: EpochContext::root_done must own its line");
+// order-ok: the line of padding an alignment repack would reclaim is
+// the price of keeping root_done line-aligned *and last* (see its
+// comment); contexts are one-per-epoch, not per-core.
+static_assert(util::layout::within_lines(sizeof(EpochContext), 5),
+              "reorder-waste: EpochContext outgrew its 5-line budget");
+
 /// Shared scheduler state: all workers, all squads, the policy, and the
 /// run lifecycle. Owned by Runtime via unique_ptr (stable address —
 /// workers keep raw pointers).
-///
-/// order-ok: declared by concern (policy knobs, topology maps, frame
-/// accounting, lifecycle) — a single instance exists, so the line of
-/// padding an alignment repack would save is noise.
 struct Engine {
   explicit Engine(const hw::Topology& t)
       : topo(t), registry(t.sockets() * t.cores_per_socket()) {}
@@ -463,14 +477,9 @@ struct Engine {
   /// is still parked, whose straggler lead-in idle event would land in a
   /// timeline being read. The mutex hand-off at the final decrement is
   /// the happens-before edge that makes post-run stats()/trace() safe.
-  ///
-  /// share-ok: the mutex and both cvs are park/wake slow path, always
-  /// touched together under lifecycle_mu — splitting them across lines
-  /// buys nothing; the alignas only keeps the cluster off the
-  /// peak_frames counter's line.
   alignas(util::kCacheLineSize) std::mutex lifecycle_mu;
-  std::condition_variable lifecycle_cv;  // straddle-ok: share-ok: cluster
-  std::condition_variable done_cv;       // straddle-ok: share-ok: cluster
+  std::condition_variable lifecycle_cv;
+  std::condition_variable done_cv;
   bool shutdown = false;
   /// Monotonic activation counter shared by every partition; each
   /// activation stamps its squads' ctx_epoch from it (guarded by
@@ -480,6 +489,34 @@ struct Engine {
   void worker_main(Worker& w);
   void notify_if_done();
 };
+
+static_assert(util::layout::one_line(CAB_SPAN(Engine, lifecycle_mu)),
+              "hot-straddle: Engine::lifecycle_mu must sit in one line");
+static_assert(util::layout::disjoint_lines(CAB_SPAN(Engine, registry),
+                                           CAB_SPAN(Engine, active_epochs)) &&
+                  util::layout::disjoint_lines(
+                      CAB_SPAN(Engine, active_epochs),
+                      CAB_SPAN(Engine, live_frames)) &&
+                  util::layout::owns_lines(CAB_SPAN(Engine, live_frames),
+                                           CAB_OFFSETOF(Engine, peak_frames)),
+              "hot-cohabit: Engine's registry, active_epochs, live_frames "
+              "and peak_frames must not share lines");
+// share-ok: straddle-ok: the mutex and both cvs are park/wake slow path,
+// always touched together under lifecycle_mu — splitting them across
+// lines (or un-straddling the cvs) buys nothing; the alignas only keeps
+// the cluster off the peak_frames counter's line.
+static_assert(util::layout::owns_lines(CAB_SPAN(Engine, peak_frames),
+                                       CAB_OFFSETOF(Engine, lifecycle_mu)) &&
+                  util::layout::lines_touched(util::layout::cluster(
+                      CAB_SPAN(Engine, lifecycle_mu),
+                      CAB_SPAN(Engine, done_cv))) <= 3,
+              "hot-cohabit: Engine's lifecycle mutex/cv cluster must stay "
+              "within 3 lines, off peak_frames' line");
+// order-ok: declared by concern (policy knobs, topology maps, frame
+// accounting, lifecycle) — a single instance exists, so the line of
+// padding an alignment repack would save is noise.
+static_assert(util::layout::within_lines(sizeof(Engine), 11),
+              "reorder-waste: Engine outgrew its 11-line budget");
 
 /// The worker owning the current thread (nullptr on non-worker threads).
 /// Defined in worker.cpp; declared here so the header-inline lazy spawn

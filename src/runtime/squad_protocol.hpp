@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "util/cache_line.hpp"
+#include "util/layout.hpp"
 #include "util/sync_policy.hpp"
 
 namespace cab::runtime::protocol {
@@ -61,6 +62,9 @@ struct BusyState {
     return active_inter.fetch_sub(1, std::memory_order_acq_rel) - 1;
   }
 };
+
+static_assert(util::layout::one_line_anywhere<BusyState<util::RealSync>>(),
+              "hot-straddle: BusyState must fit one line in any host");
 
 /// Which acquire paths Algorithm I opens for a free worker, given its
 /// role and the squad gate. Step 1 (own intra pool) always runs first and
@@ -174,6 +178,11 @@ struct OccupancyMask {
   }
 };
 
+static_assert(
+    util::layout::one_line_anywhere<OccupancyMask<util::RealSync>>() &&
+        sizeof(OccupancyMask<util::RealSync>) == util::kCacheLineSize,
+    "tail-shared: OccupancyMask::bits must own a whole line in any host");
+
 /// Lazy-frame claim handshake (DESIGN.md §5h): arbitration between the
 /// owner popping its own continuation back and a thief promoting it, plus
 /// the slot-reuse hand-off that lets the owner recycle the stack slot
@@ -276,6 +285,9 @@ struct LazyClaim {
     return state.load(std::memory_order_acquire) == kFreed;
   }
 };
+
+static_assert(util::layout::one_line_anywhere<LazyClaim<util::RealSync>>(),
+              "hot-straddle: LazyClaim must fit one line in any host");
 
 /// Inter-socket task hand-off: marks the acquiring squad busy and tags
 /// the task with that squad *before* the task is returned to the worker

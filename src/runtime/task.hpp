@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "runtime/task_body.hpp"
+#include "util/layout.hpp"
 
 namespace cab::runtime {
 
@@ -130,5 +131,11 @@ struct TaskFrame {
     lazy = false;
   }
 };
+
+// Frames sit in slabs at multiples of sizeof(TaskFrame), not on line
+// boundaries, so the check must hold for every placement.
+static_assert(
+    util::layout::one_line_anywhere<decltype(TaskFrame::completed)>(),
+    "hot-straddle: TaskFrame::completed must fit one line in any frame");
 
 }  // namespace cab::runtime

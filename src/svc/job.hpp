@@ -7,6 +7,8 @@
 #include <memory>
 #include <mutex>
 
+#include "util/layout.hpp"
+
 namespace cab::svc {
 
 /// Lifecycle of a submitted job. Terminal states: kDone, kFailed,
@@ -76,9 +78,6 @@ struct JobRecord {
   std::uint64_t submit_ns = 0;  ///< clock at submit()
 
   // Guarded by mu; cv signaled on every terminal transition.
-  // share-ok: straddle-ok: the ticket wait protocol takes mu around
-  // every cv wait/notify, so the pair is contended as a unit; records
-  // are per-job heap objects, not per-core hot state.
   std::mutex mu;
   std::condition_variable cv;
   JobState state = JobState::kQueued;
@@ -96,6 +95,15 @@ struct JobRecord {
     cv.notify_all();
   }
 };
+
+// share-ok: straddle-ok: the ticket wait protocol takes mu around
+// every cv wait/notify, so the pair is contended as a unit; records
+// are per-job heap objects, not per-core hot state.
+static_assert(util::layout::cluster(CAB_SPAN(JobRecord, mu),
+                                    CAB_SPAN(JobRecord, cv)).size ==
+                  sizeof(std::mutex) + sizeof(std::condition_variable),
+              "hot-cohabit: JobRecord's mu/cv pair must stay one "
+              "contiguous unit");
 
 }  // namespace detail
 

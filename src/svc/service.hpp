@@ -130,15 +130,10 @@ class JobService {
   ServiceOptions opts_;
   std::unique_ptr<runtime::Runtime> rt_;
 
-  // share-ok: straddle-ok: every cv wait/notify in the service holds
-  // mu_, so the mutex and its three cvs are contended as one unit; the
-  // service-global lock, not the layout, is the scalability boundary.
   mutable std::mutex mu_;
-  ///< executors: queue or stop state (straddle-ok: share-ok: see mu_)
-  std::condition_variable work_cv_;
+  std::condition_variable work_cv_;   ///< executors: queue or stop state
   std::condition_variable space_cv_;  ///< kBlock submitters: queue space
-  ///< drain()/shutdown(): quiescence (straddle-ok: share-ok: see mu_)
-  std::condition_variable idle_cv_;
+  std::condition_variable idle_cv_;   ///< drain()/shutdown(): quiescence
   TieredQueue queue_;
   SquadAllocator alloc_;
   ServiceCounters counters_;
@@ -160,6 +155,20 @@ class JobService {
   obs::metrics::Gauge* m_queue_depth_ = nullptr;
 
   std::vector<std::thread> executors_;
+
+  friend struct JobServiceLayout;
+};
+
+struct JobServiceLayout {
+  using S = JobService;
+  // share-ok: straddle-ok: every cv wait/notify in the service holds
+  // mu_, so the mutex and its three cvs are contended as one unit; the
+  // service-global lock, not the layout, is the scalability boundary.
+  static_assert(util::layout::cluster(CAB_SPAN(S, mu_),
+                                      CAB_SPAN(S, idle_cv_)).size ==
+                    sizeof(std::mutex) + 3 * sizeof(std::condition_variable),
+                "hot-cohabit: JobService's mu_/cv cluster must stay one "
+                "contiguous unit");
 };
 
 }  // namespace cab::svc

@@ -2,6 +2,7 @@
 
 #include <atomic>
 
+#include "util/layout.hpp"
 #include "util/sync_policy.hpp"
 
 namespace cab::util {
@@ -57,5 +58,8 @@ class BasicSpinLock {
 };
 
 using SpinLock = BasicSpinLock<RealSync>;
+
+static_assert(layout::one_line_anywhere<SpinLock>(),
+              "hot-straddle: SpinLock must fit one line in any host");
 
 }  // namespace cab::util

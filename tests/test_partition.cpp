@@ -126,10 +126,15 @@ TEST(TierAssignment, BlZeroMeansEverythingIntra) {
 
 /// Property: BL from Eq. 4 is the *smallest* level satisfying both
 /// constraints (Eq. 1 and Eq. 2), over a sweep of parameters.
+///
+/// No PrintTo: the ctest name is the raw bytes ("16-byte object <...>"),
+/// kept as the suite's existing ids; the struct has no padding, so every
+/// byte of the name is fixed.
 struct BlCase {
   std::int32_t b, m;
   std::uint64_t sd_mib;
 };
+static_assert(sizeof(BlCase) == 16, "BlCase has no padding bytes");
 
 class BoundaryLevelProperty : public ::testing::TestWithParam<BlCase> {};
 

@@ -41,6 +41,13 @@ struct SchedCase {
   int sockets, cores, bl;
 };
 
+// Names the parameterized tests (e.g. CAB_2x2_bl2). Without it gtest
+// prints the raw bytes, padding included, and the names change per run.
+void PrintTo(const SchedCase& c, std::ostream* os) {
+  *os << to_string(c.kind) << '_' << c.sockets << 'x' << c.cores << "_bl"
+      << c.bl;
+}
+
 class AllSchedulers : public ::testing::TestWithParam<SchedCase> {};
 
 TEST_P(AllSchedulers, FibComputesCorrectResult) {

@@ -328,6 +328,10 @@ struct SimPropCase {
   std::int32_t bl;
 };
 
+void PrintTo(const SimPropCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << '_' << to_string(c.policy) << "_bl" << c.bl;
+}
+
 class SimulatorProperty : public ::testing::TestWithParam<SimPropCase> {};
 
 TEST_P(SimulatorProperty, CompletesAndConservesWork) {
@@ -364,6 +368,10 @@ struct ShapeCase {
   int sockets, cores;
   SimPolicy policy;
 };
+
+void PrintTo(const ShapeCase& c, std::ostream* os) {
+  *os << c.sockets << 'x' << c.cores << '_' << to_string(c.policy);
+}
 
 class TopologyShapeProperty : public ::testing::TestWithParam<ShapeCase> {};
 

@@ -1,5 +1,5 @@
 // cab_lint — static concurrency-rule pass over the scheduler's hot-path
-// sources (DESIGN.md §6c). Three rules, all scoped so that only the code
+// sources (DESIGN.md §6c). Four rules, all scoped so that only the code
 // whose discipline they encode is checked:
 //
 //   seq-cst-justify   [deque/, runtime/, util/, svc/]
