@@ -22,7 +22,6 @@ Runtime::Runtime(Options opts) : opts_(opts), engine_(new Engine(opts.topo)) {
   e.mask_active = opts.kind == SchedulerKind::kCab &&
                   opts.steal != StealPolicy::kUniform;
   e.pin_threads = opts.pin_threads;
-  e.record_events = opts.record_events;
   e.trace = opts.trace;
   e.metrics = opts.metrics;
   e.hw_counters = opts.metrics && opts.hw_counters;
@@ -417,7 +416,6 @@ SchedulerStats Runtime::stats() const {
 void Runtime::reset_stats() {
   for (auto& w : engine_->workers) {
     w->stats = WorkerStats{};
-    w->exec_log.clear();
     w->tl.clear();
   }
   engine_->registry.reset();
@@ -646,13 +644,6 @@ void Runtime::mark_task_node(std::int32_t node) {
 
 std::int64_t Runtime::peak_live_frames() const {
   return engine_->peak_frames.load(std::memory_order_relaxed);
-}
-
-std::vector<ExecRecord> Runtime::execution_log() const {
-  std::vector<ExecRecord> merged;
-  for (const auto& w : engine_->workers)
-    merged.insert(merged.end(), w->exec_log.begin(), w->exec_log.end());
-  return merged;
 }
 
 }  // namespace cab::runtime

@@ -39,10 +39,6 @@ struct Options {
   /// virtual topology is wider than the host).
   bool pin_threads = false;
 
-  /// Record one ExecRecord per executed task (protocol auditing; adds a
-  /// per-task vector push on the hot path — testing/diagnostics only).
-  bool record_events = false;
-
   /// Record per-worker timestamped timelines (task spans, steal attempts
   /// with victim and latency, busy_state transitions, sync waits, idle
   /// periods) into lock-free single-writer buffers. Near-zero cost when
@@ -291,11 +287,6 @@ class Runtime {
   /// thread-safe; slot writes must follow the registry's single-writer
   /// rule.
   obs::metrics::Registry& registry();
-
-  /// Merged per-worker execution logs (empty unless record_events). Order
-  /// within a worker is execution order; across workers it is
-  /// concatenation by worker id.
-  std::vector<ExecRecord> execution_log() const;
 
   /// High-water mark of simultaneously live task frames across all runs
   /// since construction / reset_stats() — the measured left-hand side of

@@ -175,9 +175,6 @@ struct Worker {
   util::Xorshift64 rng;
   WorkerStats stats;
 
-  /// Per-worker execution log (only filled when Engine::record_events).
-  std::vector<ExecRecord> exec_log;
-
   /// Timestamped timeline of spans/events (only filled when
   /// Options::trace). Single-writer: appended to by this worker's thread
   /// only, read by Runtime::trace() after run() has returned.
@@ -386,7 +383,6 @@ struct Engine {
   /// (usually no-op) mask update.
   bool mask_active = false;
   bool pin_threads = false;
-  bool record_events = false;
   bool trace = false;
   bool metrics = true;
   bool hw_counters = false;

@@ -98,18 +98,6 @@ struct WorkerStats {
   }
 };
 
-/// One task execution, recorded when Options::record_events is set.
-/// Enough to audit the protocol after a run: which worker ran which tier
-/// at which level (e.g. "inter-socket tasks execute on head workers
-/// only", "intra-socket tasks never cross squads").
-struct ExecRecord {
-  std::int32_t worker = 0;
-  std::int32_t squad = 0;
-  std::int32_t level = 0;
-  bool inter = false;
-  bool on_head = false;
-};
-
 /// Aggregate over a full run.
 struct SchedulerStats {
   WorkerStats total;

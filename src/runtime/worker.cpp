@@ -58,10 +58,6 @@ void Worker::execute(TaskFrame* t) {
   current = t;
   ++stats.tasks_executed;
   if (t->level > stats.max_task_level) stats.max_task_level = t->level;
-  if (engine->record_events) {
-    exec_log.push_back(
-        ExecRecord{id, squad->id, t->level, t->inter, is_head});
-  }
   const bool tr = tl.enabled;
   const std::uint64_t exec_start = tr ? obs::now_ns() : 0;
   // Attribute HW counts of the outermost inter-socket task body to the
@@ -151,10 +147,6 @@ void Worker::execute_lazy(TaskFrame* t) {
   current = t;
   ++stats.tasks_executed;
   if (t->level > stats.max_task_level) stats.max_task_level = t->level;
-  if (engine->record_events) {
-    exec_log.push_back(
-        ExecRecord{id, squad->id, t->level, /*inter=*/false, is_head});
-  }
   const bool tr = tl.enabled;
   const std::uint64_t exec_start = tr ? obs::now_ns() : 0;
   try {

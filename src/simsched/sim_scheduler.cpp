@@ -6,6 +6,8 @@
 
 namespace cab::simsched {
 
+namespace protocol = runtime::protocol;
+
 const char* to_string(SimPolicy p) {
   switch (p) {
     case SimPolicy::kCab: return "CAB";
@@ -35,11 +37,10 @@ bool Simulator::is_inter_node(dag::NodeId n) const {
   return tier_.is_inter(graph_->node(n).level);
 }
 
-bool Simulator::is_leaf_inter_node(dag::NodeId n) const {
-  if (opts_.policy != SimPolicy::kCab) return false;
-  if (opts_.flexible_tiers != nullptr)
-    return opts_.flexible_tiers->leaf_inter(n);
-  return tier_.is_leaf_inter(graph_->node(n).level);
+bool Simulator::has_intra_children(dag::NodeId n) const {
+  const std::vector<dag::NodeId>& children = graph_->node(n).children;
+  return std::any_of(children.begin(), children.end(),
+                     [&](dag::NodeId c) { return !is_inter_node(c); });
 }
 
 bool Simulator::cab_tiers() const {
@@ -66,7 +67,9 @@ SimResult Simulator::run(const dag::TaskGraph& graph,
     w.is_head = (i == opts_.topo.first_core_of(w.socket));
     w.rng = util::Xorshift64(util::splitmix64(seed_state));
   }
-  squads_.assign(static_cast<std::size_t>(opts_.topo.sockets()), SimSquad{});
+  // Built in place: a squad's BusyState is an atomic, so not copyable.
+  squads_ =
+      std::vector<SimSquad>(static_cast<std::size_t>(opts_.topo.sockets()));
   for (int s = 0; s < opts_.topo.sockets(); ++s) {
     SimSquad& sq = squads_[static_cast<std::size_t>(s)];
     sq.id = s;
@@ -79,7 +82,6 @@ SimResult Simulator::run(const dag::TaskGraph& graph,
   finish_time_ = 0;
   total_busy_ = 0;
   inter_tier_busy_ = 0;
-  pieces_done_ = 0;
   root_complete_ = false;
 
   if (opts_.cold_caches) caches_->invalidate_all();
@@ -133,7 +135,6 @@ void Simulator::handle_try_acquire(SimWorker& w, SimTime now) {
 
 void Simulator::handle_piece_done(SimWorker& w, dag::NodeId n, Piece piece,
                                   SimTime now) {
-  ++pieces_done_;
   const dag::TaskGraph::Node& node = graph_->node(n);
   NodeState& s = states_[static_cast<std::size_t>(n)];
 
@@ -144,12 +145,9 @@ void Simulator::handle_piece_done(SimWorker& w, dag::NodeId n, Piece piece,
     // inter-socket tasks keep it until their whole intra-socket subtree
     // completes — that subtree is the shared-cache residency unit CAB
     // protects.
-    if (s.busy_squad >= 0 && !is_leaf_inter_node(n)) {
-      SimSquad& sq = squads_[static_cast<std::size_t>(s.busy_squad)];
-      CAB_CHECK(sq.active_inter >= 1, "squad busy-state underflow (sim)");
-      --sq.active_inter;
-      s.busy_squad = -1;
-      wake_heads(now, sq.id);
+    if (s.inter_acquired_by != nullptr &&
+        !protocol::holds_busy_through_sync(has_intra_children(n))) {
+      release_inter(s, now);
     }
     const bool has_post = node.post_work > 0 || node.post_trace >= 0;
     if (node.children.empty()) {
@@ -169,7 +167,6 @@ void Simulator::handle_piece_done(SimWorker& w, dag::NodeId n, Piece piece,
       }
     }
   } else {
-    s.post_done = true;
     node_subtree_complete(n, w.id, now);
   }
 
@@ -200,14 +197,7 @@ void Simulator::handle_piece_done(SimWorker& w, dag::NodeId n, Piece piece,
 void Simulator::node_subtree_complete(dag::NodeId n, std::int32_t worker,
                                       SimTime now) {
   NodeState& s = states_[static_cast<std::size_t>(n)];
-  if (s.busy_squad >= 0) {
-    SimSquad& sq = squads_[static_cast<std::size_t>(s.busy_squad)];
-    CAB_CHECK(sq.active_inter >= 1, "squad busy-state underflow (sim)");
-    --sq.active_inter;
-    s.busy_squad = -1;
-    // The squad's head may now initiate inter-socket work again.
-    wake_heads(now, sq.id);
-  }
+  if (s.inter_acquired_by != nullptr) release_inter(s, now);
 
   const dag::TaskGraph::Node& node = graph_->node(n);
   if (node.parent == dag::kNoNode) {
@@ -247,6 +237,15 @@ void Simulator::node_subtree_complete(dag::NodeId n, std::int32_t worker,
                             ps.ran_pre_on >= 0 ? ps.ran_pre_on : worker, now);
     }
   }
+}
+
+void Simulator::release_inter(NodeState& s, SimTime now) {
+  SimSquad* sq = s.inter_acquired_by;
+  s.inter_acquired_by = nullptr;
+  const std::int32_t left = sq->busy.release();
+  CAB_CHECK(left >= 0, "squad busy-state underflow (sim)");
+  // The squad's head may now initiate inter-socket work again.
+  wake_heads(now, sq->id);
 }
 
 void Simulator::push_child(dag::NodeId child, std::int32_t spawner,
@@ -290,50 +289,48 @@ Simulator::Acquired Simulator::acquire_cab(SimWorker& w) {
     return a;
   }
   SimSquad& sq = squads_[static_cast<std::size_t>(w.socket)];
-  auto take_own_inter = [&]() -> Acquired {
-    if (sq.inter_pool.empty()) return {};
-    Acquired a{sq.inter_pool.front(), Piece::kPre, opts_.cost.pop_cycles};
-    sq.inter_pool.pop_front();
-    ++sq.active_inter;
-    states_[static_cast<std::size_t>(a.node)].busy_squad = sq.id;
+  // Takes the oldest task of `pool` and binds it to this squad: the
+  // busy state closes before the task starts.
+  auto take_inter = [&](std::deque<dag::NodeId>& pool, double cost) {
+    Acquired a{pool.front(), Piece::kPre, cost};
+    pool.pop_front();
+    protocol::bind_inter(sq.busy, &states_[static_cast<std::size_t>(a.node)],
+                         &sq);
     return a;
   };
 
-  const bool busy = sq.active_inter > 0;
-  if (busy || opts_.ignore_busy_state) {
+  // Steps 2–6: the gate is protocol::plan_acquire, as in the threaded
+  // runtime. The two ablations are its inputs: any_worker_inter_steal
+  // makes every worker a head, and ignore_busy_state treats the squad as
+  // busy (in-squad steals first) while opening the inter pools the way
+  // the starvation escape does.
+  const protocol::AcquirePaths paths = protocol::plan_acquire(
+      w.is_head || opts_.any_worker_inter_steal,
+      sq.busy.busy() || opts_.ignore_busy_state,
+      /*desperate=*/opts_.ignore_busy_state);
+  if (paths.steal_intra_in_squad && sq.worker_count > 1) {
     // Step 3 / 6(a): steal intra-socket within the squad (rotation over
     // squad mates; failed probes cost no virtual time).
-    if (sq.worker_count > 1) {
-      int start = probe_start(w, sq.worker_count);
-      for (int i = 0; i < sq.worker_count; ++i) {
-        int v = sq.first_worker + (start + i) % sq.worker_count;
-        if (v == w.id) continue;
-        SimWorker& victim = workers_[static_cast<std::size_t>(v)];
-        if (!victim.intra.empty()) {
-          Acquired a{victim.intra.front(), Piece::kPre,
-                     opts_.cost.intra_steal_cycles};
-          victim.intra.pop_front();
-          ++w.report.intra_steals;
-          return a;
-        }
+    int start = probe_start(w, sq.worker_count);
+    for (int i = 0; i < sq.worker_count; ++i) {
+      int v = sq.first_worker + (start + i) % sq.worker_count;
+      if (v == w.id) continue;
+      SimWorker& victim = workers_[static_cast<std::size_t>(v)];
+      if (!victim.intra.empty()) {
+        Acquired a{victim.intra.front(), Piece::kPre,
+                   opts_.cost.intra_steal_cycles};
+        victim.intra.pop_front();
+        ++w.report.intra_steals;
+        return a;
       }
     }
-    // Step 2: a busy squad initiates no new inter-socket work (unless the
-    // busy_state ablation disables the guard).
-    if (busy && !opts_.ignore_busy_state) return {};
   }
-
-  // Step 2 (cont.): non-head workers go back to Step 1 (unless the
-  // head-worker ablation opens inter-socket stealing to everyone).
-  if (!w.is_head && !opts_.any_worker_inter_steal) return {};
+  if (!paths.inter_pools) return {};
 
   // Step 4: own inter-socket pool.
-  {
-    Acquired a = take_own_inter();
-    if (a.node != dag::kNoNode) {
-      ++w.report.inter_acquires;
-      return a;
-    }
+  if (!sq.inter_pool.empty()) {
+    ++w.report.inter_acquires;
+    return take_inter(sq.inter_pool, opts_.cost.pop_cycles);
   }
   // Step 5 / 6(b): steal from another squad's inter pool.
   const int m = static_cast<int>(squads_.size());
@@ -344,13 +341,8 @@ Simulator::Acquired Simulator::acquire_cab(SimWorker& w) {
       if (v == sq.id) continue;
       SimSquad& victim = squads_[static_cast<std::size_t>(v)];
       if (!victim.inter_pool.empty()) {
-        Acquired a{victim.inter_pool.front(), Piece::kPre,
-                   opts_.cost.inter_steal_cycles};
-        victim.inter_pool.pop_front();
-        ++sq.active_inter;
-        states_[static_cast<std::size_t>(a.node)].busy_squad = sq.id;
         ++w.report.inter_steals;
-        return a;
+        return take_inter(victim.inter_pool, opts_.cost.inter_steal_cycles);
       }
     }
   }

@@ -12,6 +12,7 @@
 #include "dag/partition.hpp"
 #include "dag/task_graph.hpp"
 #include "hw/topology.hpp"
+#include "runtime/squad_protocol.hpp"
 #include "simsched/cost_model.hpp"
 #include "simsched/event_sim.hpp"
 #include "simsched/report.hpp"
@@ -96,7 +97,9 @@ struct SimOptions {
 ///  - CAB placement: children at level <= BL go to the spawning squad's
 ///    inter-socket pool (head workers acquire/steal them, busy_state
 ///    guarded); deeper children go to the spawning worker's deque (squad
-///    mates may steal);
+///    mates may steal). The gate, the busy count, the hand-off and the
+///    leaf-hold rule are runtime/squad_protocol.hpp, the same code the
+///    threaded runtime and the model checker run;
 ///  - `sequential` nodes release one child phase at a time.
 ///
 /// Runs are bit-reproducible given (graph, store, options).
@@ -110,12 +113,14 @@ class Simulator {
   const SimOptions& options() const { return opts_; }
 
  private:
+  struct SimSquad;
+
   struct NodeState {
     std::int32_t remaining_children = 0;
     std::int32_t next_child = 0;  ///< for sequential release
     std::int32_t ran_pre_on = -1;
-    std::int32_t busy_squad = -1;  ///< squad charged with active_inter
-    bool post_done = false;
+    /// Squad whose busy state this inter task holds (protocol::bind_inter).
+    SimSquad* inter_acquired_by = nullptr;
   };
 
   struct SimWorker {
@@ -135,7 +140,7 @@ class Simulator {
     int first_worker = 0;
     int worker_count = 0;
     std::deque<dag::NodeId> inter_pool;  ///< FIFO acquisition
-    std::int32_t active_inter = 0;
+    runtime::protocol::BusyState<> busy;
   };
 
   enum class Piece : std::uint8_t { kPre, kPost };
@@ -165,8 +170,8 @@ class Simulator {
   void start_piece(SimWorker& w, const Acquired& a, SimTime now);
   void push_child(dag::NodeId child, std::int32_t spawner, SimTime now);
   void node_subtree_complete(dag::NodeId n, std::int32_t worker, SimTime now);
-  void release_next_phase(dag::NodeId parent, std::int32_t worker,
-                          SimTime now);
+  /// Releases the busy state `s` holds and wakes that squad's head.
+  void release_inter(NodeState& s, SimTime now);
 
   /// First victim index to probe in a rotation over `count` candidates.
   int probe_start(SimWorker& w, int count);
@@ -182,7 +187,8 @@ class Simulator {
   void wake_all(SimTime now, int home_socket);
 
   bool is_inter_node(dag::NodeId n) const;
-  bool is_leaf_inter_node(dag::NodeId n) const;
+  /// The leaf-hold input: some child of `n` is not inter-socket.
+  bool has_intra_children(dag::NodeId n) const;
   /// True when the CAB bi-tier machinery is active (BL > 0 or flexible).
   bool cab_tiers() const;
 
@@ -208,7 +214,6 @@ class Simulator {
   SimTime finish_time_ = 0;
   SimTime total_busy_ = 0;
   SimTime inter_tier_busy_ = 0;
-  std::uint64_t pieces_done_ = 0;
   bool root_complete_ = false;
 };
 

@@ -1,5 +1,5 @@
-// Protocol-invariant audits of the *threaded* runtime via the execution
-// log: the real-thread counterparts of the simulator's placement tests.
+// Protocol-invariant audits of the *threaded* runtime via its trace: the
+// real-thread counterparts of the simulator's placement tests.
 
 #include <gtest/gtest.h>
 
@@ -9,9 +9,11 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <vector>
 
 #include "dag/bounds.hpp"
 #include "dag/generators.hpp"
+#include "obs/timeline.hpp"
 #include "runtime/graph_runner.hpp"
 #include "runtime/runtime.hpp"
 
@@ -23,9 +25,31 @@ Options cab_options(int sockets, int cores, int bl) {
   o.topo = hw::Topology::synthetic(sockets, cores, 1ull << 20);
   o.kind = SchedulerKind::kCab;
   o.boundary_level = bl;
-  o.record_events = true;
+  o.trace = true;
   o.seed = 3;
   return o;
+}
+
+/// One executed task, read from the trace: each kTaskExec span carries
+/// a = level and b = inter, and its worker's timeline says whether the
+/// worker is a squad head.
+struct Exec {
+  std::int32_t worker = 0;
+  std::int32_t level = 0;
+  bool inter = false;
+  bool on_head = false;
+};
+
+std::vector<Exec> executed(const Runtime& rt) {
+  std::vector<Exec> out;
+  for (const obs::WorkerTimeline& w : rt.trace().workers) {
+    EXPECT_EQ(w.dropped, 0u) << "worker " << w.worker;
+    for (const obs::TraceEvent& e : w.events) {
+      if (e.kind == obs::EventKind::kTaskExec)
+        out.push_back({w.worker, e.a, e.b == 1, w.is_head});
+    }
+  }
+  return out;
 }
 
 /// Spawns a uniform B=2 tree of the given depth with a little leaf work.
@@ -47,10 +71,10 @@ TEST(Protocol, InterTasksExecuteOnHeadWorkersOnly) {
   rt.run([&] { spawn_tree(6, &leaves); });
   EXPECT_EQ(leaves.load(), 64);
 
-  auto log = rt.execution_log();
+  auto log = executed(rt);
   ASSERT_FALSE(log.empty());
   int inter_seen = 0;
-  for (const ExecRecord& r : log) {
+  for (const Exec& r : log) {
     if (r.inter) {
       ++inter_seen;
       EXPECT_TRUE(r.on_head)
@@ -66,7 +90,7 @@ TEST(Protocol, TierClassificationMatchesLevels) {
   Runtime rt(cab_options(2, 2, bl));
   std::atomic<int> leaves{0};
   rt.run([&] { spawn_tree(5, &leaves); });
-  for (const ExecRecord& r : rt.execution_log()) {
+  for (const Exec& r : executed(rt)) {
     EXPECT_EQ(r.inter, r.level <= bl && r.level >= 0)
         << "level " << r.level;
   }
@@ -76,7 +100,7 @@ TEST(Protocol, DegenerateBlZeroHasNoInterTasks) {
   Runtime rt(cab_options(2, 2, 0));
   std::atomic<int> leaves{0};
   rt.run([&] { spawn_tree(5, &leaves); });
-  for (const ExecRecord& r : rt.execution_log()) EXPECT_FALSE(r.inter);
+  for (const Exec& r : executed(rt)) EXPECT_FALSE(r.inter);
 }
 
 TEST(Protocol, ExecutionLogCoversEveryTask) {
@@ -84,9 +108,9 @@ TEST(Protocol, ExecutionLogCoversEveryTask) {
   std::atomic<int> leaves{0};
   rt.run([&] { spawn_tree(4, &leaves); });
   // 1 root + 2+4+8+16 spawned = 31 tasks.
-  EXPECT_EQ(rt.execution_log().size(), 31u);
+  EXPECT_EQ(executed(rt).size(), 31u);
   rt.reset_stats();
-  EXPECT_TRUE(rt.execution_log().empty());
+  EXPECT_TRUE(executed(rt).empty());
 }
 
 TEST(Protocol, SpawnInterForcesInterTier) {
@@ -105,7 +129,7 @@ TEST(Protocol, SpawnInterForcesInterTier) {
   });
   EXPECT_EQ(ran.load(), 4);
   int forced_inter = 0;
-  for (const ExecRecord& r : rt.execution_log()) {
+  for (const Exec& r : executed(rt)) {
     if (r.level == 2 && r.inter) ++forced_inter;
   }
   EXPECT_EQ(forced_inter, 4);
@@ -121,7 +145,7 @@ TEST(Protocol, SpawnInterUnderBaselineIsPlainSpawn) {
     Runtime::sync();
   });
   EXPECT_EQ(ran.load(), 8);
-  for (const ExecRecord& r : rt.execution_log()) EXPECT_FALSE(r.inter);
+  for (const Exec& r : executed(rt)) EXPECT_FALSE(r.inter);
 }
 
 TEST(Protocol, IntraTasksOfOneSubtreeStayInOneSquadWhenUnstolen) {
@@ -163,8 +187,9 @@ TEST(GraphRunner, ExecutesEveryNodeOnce) {
   dag::TaskGraph g = dag::make_recursive_dnc(2, 5, 2000, 10);
   Runtime rt(cab_options(2, 2, 2));
   EXPECT_EQ(run_graph(rt, g), g.size());
-  // Exec log: root closure + every non-root graph node as a spawned task.
-  EXPECT_EQ(rt.execution_log().size(), g.size());
+  // Traced tasks: root closure + every non-root graph node as a spawned
+  // task.
+  EXPECT_EQ(executed(rt).size(), g.size());
 }
 
 TEST(GraphRunner, SequentialPhasesRespected) {
@@ -201,7 +226,7 @@ TEST(GraphRunner, CrossEngineProtocolInvariantsAgree) {
   Runtime rt(cab_options(2, 2, bl));
   run_graph(rt, g);
   int inter_count = 0;
-  for (const ExecRecord& r : rt.execution_log()) {
+  for (const Exec& r : executed(rt)) {
     if (r.inter) {
       ++inter_count;
       EXPECT_TRUE(r.on_head);
@@ -209,6 +234,35 @@ TEST(GraphRunner, CrossEngineProtocolInvariantsAgree) {
     }
   }
   EXPECT_GT(inter_count, 0);
+
+  // The DAG nodes the runtime ran as inter tasks (each kTaskNode tag
+  // joined to the innermost kTaskExec span around it) are exactly the
+  // inter tier the simulator classifies with.
+  std::set<dag::NodeId> ran_inter;
+  std::size_t tagged = 0;
+  for (const obs::WorkerTimeline& w : rt.trace().workers) {
+    for (const obs::TraceEvent& tag : w.events) {
+      if (tag.kind != obs::EventKind::kTaskNode) continue;
+      ++tagged;
+      const obs::TraceEvent* span = nullptr;
+      for (const obs::TraceEvent& e : w.events) {
+        if (e.kind == obs::EventKind::kTaskExec && e.t0 <= tag.t0 &&
+            tag.t0 <= e.t1 && (span == nullptr || e.t0 > span->t0)) {
+          span = &e;
+        }
+      }
+      ASSERT_NE(span, nullptr) << "node " << tag.a << " has no exec span";
+      if (span->b == 1) ran_inter.insert(tag.a);
+    }
+  }
+  EXPECT_EQ(tagged, g.size());
+  const dag::TierAssignment tier{bl};
+  std::set<dag::NodeId> classified;
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    if (tier.is_inter(g.node(static_cast<dag::NodeId>(i)).level))
+      classified.insert(static_cast<dag::NodeId>(i));
+  }
+  EXPECT_EQ(ran_inter, classified);
 }
 
 TEST(SpaceBound, PeakLiveFramesWithinEq15) {
@@ -250,7 +304,7 @@ TEST(Protocol, StatsConsistentWithLog) {
   std::atomic<int> leaves{0};
   rt.run([&] { spawn_tree(5, &leaves); });
   SchedulerStats s = rt.stats();
-  EXPECT_EQ(s.total.tasks_executed, rt.execution_log().size());
+  EXPECT_EQ(s.total.tasks_executed, executed(rt).size());
   EXPECT_EQ(s.total.spawns_inter + s.total.spawns_intra,
             s.total.tasks_executed - 1);  // all but the root were spawned
 }

@@ -143,15 +143,85 @@ TEST(Simulator, SequentialPhasesDoNotOverlap) {
 TEST(Simulator, CabOnlyHeadsRunInterTasks) {
   dag::TaskGraph g = dag::make_recursive_dnc(2, 5, 400, 5);
   cachesim::TraceStore store;
-  SimOptions o = base_options(SimPolicy::kCab, 3);
-  bool violation = false;
-  o.on_piece_start = [&](dag::NodeId n, int worker, SimTime, bool) {
-    // Inter-tier tasks (level <= 3) must execute on head workers
-    // (worker id divisible by cores/socket = 2).
-    if (g.node(n).level <= 3 && worker % 2 != 0) violation = true;
-  };
-  Simulator(o).run(g, store);
-  EXPECT_FALSE(violation);
+  // Random wake order lets a non-head reach an inter pool first, so only
+  // the head-only rule keeps inter tasks on heads there.
+  for (VictimSelection victims :
+       {VictimSelection::kRoundRobin, VictimSelection::kUniformRandom}) {
+    SimOptions o = base_options(SimPolicy::kCab, 3);
+    o.victims = victims;
+    bool violation = false;
+    o.on_piece_start = [&](dag::NodeId n, int worker, SimTime, bool) {
+      // Inter-tier tasks (level <= 3) must execute on head workers
+      // (worker id divisible by cores/socket = 2).
+      if (g.node(n).level <= 3 && worker % 2 != 0) violation = true;
+    };
+    Simulator(o).run(g, store);
+    EXPECT_FALSE(violation) << to_string(victims);
+  }
+}
+
+TEST(Simulator, CabLeafInterSubtreesNeverOverlapOnOneSquad) {
+  // The busy gate: a squad runs one leaf inter-socket subtree at a time.
+  // Each subtree's span runs from its first to its last piece start; the
+  // spans of the subtrees one squad ran must be disjoint.
+  cachesim::TraceStore store;
+  for (int cores : {2, 4, 8}) {
+    for (std::int32_t branching : {2, 3, 4}) {
+      for (std::int32_t depth : {5, 6, 7}) {
+        const dag::TaskGraph g =
+            dag::make_recursive_dnc(branching, depth, 400, 5, 5);
+        for (std::int32_t bl : {1, 2, 3}) {
+          for (VictimSelection victims : {VictimSelection::kRoundRobin,
+                                          VictimSelection::kUniformRandom}) {
+            SCOPED_TRACE(testing::Message()
+                         << "2x" << cores << " B=" << branching << " depth="
+                         << depth << " BL=" << bl << ' '
+                         << to_string(victims));
+            SimOptions o = base_options(SimPolicy::kCab, bl);
+            o.topo = hw::Topology::synthetic(2, cores, 64 * 1024, 64 * 64);
+            o.victims = victims;
+            // Leaf-inter ancestor (level == bl) of each node at or below it.
+            std::vector<dag::NodeId> anchor(g.size(), dag::kNoNode);
+            for (std::size_t i = 0; i < g.size(); ++i) {
+              const auto& n = g.node(static_cast<dag::NodeId>(i));
+              if (n.level == bl) {
+                anchor[i] = static_cast<dag::NodeId>(i);
+              } else if (n.level > bl) {
+                anchor[i] = anchor[static_cast<std::size_t>(n.parent)];
+              }
+            }
+            struct Span {
+              int squad = -1;
+              SimTime first = 0, last = 0;
+            };
+            std::map<dag::NodeId, Span> spans;
+            o.on_piece_start = [&](dag::NodeId n, int worker, SimTime t,
+                                   bool) {
+              const dag::NodeId a = anchor[static_cast<std::size_t>(n)];
+              if (a == dag::kNoNode) return;
+              auto [it, fresh] = spans.try_emplace(a);
+              if (fresh) it->second = {worker / cores, t, t};
+              it->second.last = std::max(it->second.last, t);
+            };
+            Simulator(o).run(g, store);
+            std::map<int, std::vector<Span>> by_squad;
+            for (const auto& [a, span] : spans)
+              by_squad[span.squad].push_back(span);
+            for (auto& [squad, list] : by_squad) {
+              std::sort(list.begin(), list.end(),
+                        [](const Span& x, const Span& y) {
+                          return x.first < y.first;
+                        });
+              for (std::size_t i = 1; i < list.size(); ++i) {
+                EXPECT_GT(list[i].first, list[i - 1].last)
+                    << "squad " << squad << " overlapped two subtrees";
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Simulator, CabConfinesIntraTasksToOneSocketPerLeafInterSubtree) {
@@ -176,6 +246,26 @@ TEST(Simulator, CabConfinesIntraTasksToOneSocketPerLeafInterSubtree) {
   for (const auto& [a, socks] : sockets_used)
     EXPECT_EQ(socks.size(), 1u) << "leaf-inter subtree " << a
                                 << " ran on multiple sockets";
+}
+
+TEST(Simulator, CabSquadMatesRunIntraTasks) {
+  // A busy squad's mates steal its leaf inter-socket subtree's intra
+  // tasks, so every worker, head or not, runs some of them.
+  dag::TaskGraph g = dag::make_recursive_dnc(2, 7, 3000, 5);
+  cachesim::TraceStore store;
+  for (VictimSelection victims :
+       {VictimSelection::kRoundRobin, VictimSelection::kUniformRandom}) {
+    SimOptions o = base_options(SimPolicy::kCab, 2);
+    o.victims = victims;
+    std::set<int> workers_used;
+    o.on_piece_start = [&](dag::NodeId n, int worker, SimTime, bool) {
+      if (g.node(n).level > 2) workers_used.insert(worker);
+    };
+    Simulator(o).run(g, store);
+    EXPECT_EQ(workers_used.size(),
+              static_cast<std::size_t>(o.topo.total_cores()))
+        << to_string(victims);
+  }
 }
 
 TEST(Simulator, RandomStealingSpreadsAcrossAllWorkers) {
