@@ -217,11 +217,12 @@ struct alignas(util::kCacheLineSize) LazyFrame {
   /// The subset of TaskFrame::prepare the lazy path actually needs.
   /// Skipped on purpose (all provably never read on a lazy frame):
   /// `inter` / `inter_acquired_by` / `has_intra_children` feed the
-  /// busy-state paths, which lazy frames never reach (execute_lazy skips
-  /// them; sync()'s release_busy_on_suspend no-ops on the never-set
-  /// inter_acquired_by); `lazy` is set once at carve time and promotion
-  /// re-prepares the pooled copy from scratch; `home`/`pool_next` are
-  /// pool-owned and slots have none.
+  /// busy-state paths, which do nothing on a slot frame: `inter` and
+  /// `inter_acquired_by` keep their default false/nullptr forever, so the
+  /// busy-state release that Worker::join runs on every frame no-ops and
+  /// execute() never opens an inter-tier hw span; `lazy` is set once
+  /// at carve time and promotion re-prepares the pooled copy from scratch;
+  /// `home`/`pool_next` are pool-owned and slots have none.
   void arm(TaskFrame* p, std::int32_t lvl) noexcept {
     frame.parent = p;
     frame.level = lvl;

@@ -199,7 +199,7 @@ std::uint64_t Runtime::run_ctx(EpochContext& ctx, std::function<void()> root) {
     // All three conditions: the DAG is drained, every partition worker
     // woke into this epoch, and every one of them has left its drain loop
     // (see EpochContext::working / joined) — only then are the partition's
-    // per-worker stats/exec-log/timeline buffers quiescent.
+    // per-worker stats/timeline buffers quiescent.
     std::unique_lock<std::mutex> lk(e.lifecycle_mu);
     e.done_cv.wait(lk, [&] {
       return ctx.root_done.load(std::memory_order_acquire) &&
@@ -230,12 +230,7 @@ void Runtime::run(std::function<void()> root) {
     // adaptive controller is rejected for run_on() callers below.)
     retune_after_epoch(this_epoch, epoch_bl, obs::now_ns() - wall0);
   }
-  std::exception_ptr thrown;
-  {
-    std::lock_guard<std::mutex> lk(ctx.exception_mu);
-    thrown = ctx.first_exception;
-  }
-  if (thrown) std::rethrow_exception(thrown);
+  ctx.rethrow_captured();
 }
 
 void Runtime::run_on(const std::vector<int>& squad_ids,
@@ -272,12 +267,7 @@ void Runtime::run_on(const std::vector<int>& squad_ids,
   ctx.tier.bl =
       ctx.squads.size() <= 1 ? 0 : boundary_level;
   run_ctx(ctx, std::move(root));
-  std::exception_ptr thrown;
-  {
-    std::lock_guard<std::mutex> lk(ctx.exception_mu);
-    thrown = ctx.first_exception;
-  }
-  if (thrown) std::rethrow_exception(thrown);
+  ctx.rethrow_captured();
 }
 
 namespace spawn_detail {
@@ -359,34 +349,7 @@ void Runtime::sync() {
   Worker* w = tls_worker;
   CAB_CHECK(w != nullptr && w->current != nullptr,
             "sync() called outside a task");
-  TaskFrame* t = w->current;
-  w->release_busy_on_suspend(t);
-  if (t->joined()) return;
-  const bool tr = w->tl.enabled;
-  const std::uint64_t wait_start = tr ? obs::now_ns() : 0;
-  const std::uint64_t help0 = w->stats.help_iterations;
-  const std::uint64_t exec0 = w->stats.tasks_executed;
-  int fails = 0;
-  while (!t->joined()) {
-    ++w->stats.help_iterations;
-    // Own-deque fast path, mirroring the implicit-sync loops in
-    // worker.cpp: the children being waited on are usually right here.
-    if (TaskFrame* c = w->pop_local()) {
-      ++w->stats.intra_pop_hits;
-      fails = 0;
-      w->execute(c);
-    } else if (w->help_once(fails >= kStarvationEscapeFails)) {
-      fails = 0;
-    } else {
-      ++fails;
-      std::this_thread::yield();
-    }
-  }
-  if (tr) {
-    w->tl.record(obs::EventKind::kSyncWait, wait_start, obs::now_ns(),
-                 static_cast<std::int32_t>(w->stats.help_iterations - help0),
-                 static_cast<std::int32_t>(w->stats.tasks_executed - exec0));
-  }
+  w->join(w->current);
 }
 
 int Runtime::current_worker() {

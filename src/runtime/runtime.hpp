@@ -132,6 +132,26 @@ Pending begin_spawn(bool force_inter);
 void commit_spawn(const Pending& p);
 void abort_spawn(const Pending& p) noexcept;
 
+/// The eager spawn (a pooled or, with frame_pool off, heap frame): every
+/// spawn_inter, and every spawn the lazy path below declines. Forced
+/// inline so each spawn site compiles as if the block were written out
+/// in it; left to the compiler, GCC makes it an out-of-line call.
+template <typename F>
+[[gnu::always_inline]] inline void spawn_eager(bool force_inter, F&& fn) {
+  Pending p = begin_spawn(force_inter);
+  try {
+    if (p.boxed) {
+      p.frame->body.emplace_boxed(std::forward<F>(fn));
+    } else {
+      p.frame->body.emplace(std::forward<F>(fn));
+    }
+  } catch (...) {
+    abort_spawn(p);
+    throw;
+  }
+  commit_spawn(p);
+}
+
 /// Lazy fast path (DESIGN.md §5h), header-inline: the whole point is a
 /// spawn that never leaves the caller's TU. Eligible spawns are intra-tier
 /// only — inter-tier children, kTaskSharing (central pool: every task is
@@ -347,34 +367,12 @@ void Runtime::spawn(F&& fn) {
     spawn_detail::commit_lazy(tls_worker, t);
     return;
   }
-  spawn_detail::Pending p = spawn_detail::begin_spawn(/*force_inter=*/false);
-  try {
-    if (p.boxed) {
-      p.frame->body.emplace_boxed(std::forward<F>(fn));
-    } else {
-      p.frame->body.emplace(std::forward<F>(fn));
-    }
-  } catch (...) {
-    spawn_detail::abort_spawn(p);
-    throw;
-  }
-  spawn_detail::commit_spawn(p);
+  spawn_detail::spawn_eager(/*force_inter=*/false, std::forward<F>(fn));
 }
 
 template <typename F>
 void Runtime::spawn_inter(F&& fn) {
-  spawn_detail::Pending p = spawn_detail::begin_spawn(/*force_inter=*/true);
-  try {
-    if (p.boxed) {
-      p.frame->body.emplace_boxed(std::forward<F>(fn));
-    } else {
-      p.frame->body.emplace(std::forward<F>(fn));
-    }
-  } catch (...) {
-    spawn_detail::abort_spawn(p);
-    throw;
-  }
-  spawn_detail::commit_spawn(p);
+  spawn_detail::spawn_eager(/*force_inter=*/true, std::forward<F>(fn));
 }
 
 /// Recursive binary-splitting parallel loop over [begin, end) built on

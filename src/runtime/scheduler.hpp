@@ -63,17 +63,19 @@ bool parse_steal_policy(std::string_view s, StealPolicy& out);
 /// task holds busy_state across its implicit sync, and if its pending
 /// subtree contains forced inter-socket children (Runtime::spawn_inter
 /// below BL), those sit in the squad pool that the busy gate is barring
-/// every head from — a livelock with every worker spinning. The threshold
-/// sits past the backoff sleep tier, so normal contention never hits it.
+/// every head from — a livelock with every worker spinning. In the free
+/// worker's loop the threshold sits past the backoff sleep tier, so normal
+/// contention never hits it; a sync wait (Worker::join) only yields, so a
+/// head blocked there reaches the escape after 8,192 yields.
 inline constexpr int kStarvationEscapeFails = 8192;
 
-/// Progressive-backoff tiers of the worker spin loops (worker.cpp
-/// backoff()): cpu_relax below kBackoffRelaxFails consecutive failures,
-/// sched-yield below kBackoffYieldFails, then every further failed
-/// acquire parks the thread for kIdleBackoffSleep. The sleep count is
-/// tracked in WorkerStats::idle_backoff_sleeps, so parked time is always
-/// count * kIdleBackoffSleep — keep reports computing it from this
-/// constant rather than a re-typed literal.
+/// Progressive-backoff tiers of the free worker's acquire loop (worker.cpp
+/// backoff(); sync waits only yield): cpu_relax below kBackoffRelaxFails
+/// consecutive failures, sched-yield below kBackoffYieldFails, then every
+/// further failed acquire parks the thread for kIdleBackoffSleep. The
+/// sleep count is tracked in WorkerStats::idle_backoff_sleeps, so parked
+/// time is always count * kIdleBackoffSleep — keep reports computing it
+/// from this constant rather than a re-typed literal.
 inline constexpr int kBackoffRelaxFails = 16;
 inline constexpr int kBackoffYieldFails = 4096;
 inline constexpr std::chrono::microseconds kIdleBackoffSleep{50};
@@ -166,10 +168,11 @@ struct Worker {
   /// pays one deque round-trip per *two* children. Thieves steal from the
   /// FIFO top, i.e. they want the oldest (shallowest) child, so deferring
   /// publication of the newest one hides no breadth from them. Deadlock-
-  /// free because every wait in the runtime pops (pop_local) before it
-  /// blocks: a nonempty buffer is always the very next task its owner
-  /// runs. Cleared by construction at epoch end — a buffered child is an
-  /// unexecuted descendant, so the root cannot join while one exists.
+  /// free because the one sync wait (join) pops (pop_local) first, as does
+  /// every acquire: a nonempty buffer is always the very next task its
+  /// owner runs. Cleared by construction at epoch end — a buffered child
+  /// is an unexecuted descendant, so the root cannot join while one
+  /// exists.
   TaskFrame* spawn_cache = nullptr;
 
   util::Xorshift64 rng;
@@ -201,16 +204,13 @@ struct Worker {
 
   std::thread thread;
 
-  /// Runs `t` to completion: body, implicit sync (helping while waiting),
-  /// then joins the parent and releases the squad busy-state if needed.
-  /// Dispatches lazy frames (own-deque pops only; every steal path
-  /// promotes first) to execute_lazy.
+  /// Runs `t` to completion: body, implicit sync (join), then joins the
+  /// parent and releases the squad busy-state if needed. A lazy frame
+  /// (own pop_local only; every steal path promotes first) runs in place
+  /// on its stack slot: claimed from any racing promotion before the body,
+  /// joined to its parent through the plain completed_local, its slot
+  /// freed instead of recycled.
   void execute(TaskFrame* t);
-
-  /// Runs a lazy frame in place on its own stack slot: claims it from any
-  /// racing promotion, executes the lean intra-only path (no busy-state,
-  /// no recycle, plain completed_local join), then frees the slot.
-  void execute_lazy(TaskFrame* t);
 
   /// Thief side of the lazy handshake: claims the victim's stack slot,
   /// relocates the capture into a frame from *this* worker's pool, and
@@ -218,18 +218,17 @@ struct Worker {
   /// no frame_created/destroyed tick).
   TaskFrame* promote_lazy(TaskFrame* t);
 
-  /// One attempt to find and run a task while blocked in a sync.
-  /// Returns true if a task was executed. `desperate` is set by spin
-  /// loops whose failed streak crossed kStarvationEscapeFails.
-  bool help_once(bool desperate = false);
-
-  /// Releases the squad busy-state when a non-leaf inter-socket task
-  /// suspends at its sync (leaf inter-socket tasks hold it to completion).
-  void release_busy_on_suspend(TaskFrame* t);
+  /// The one sync wait (implicit and explicit): releases the squad
+  /// busy-state if `t` is a non-leaf inter-socket task (leaf ones hold it
+  /// to completion), then until its children have joined pops the own
+  /// deque first, else runs Algorithm I's acquire like a free worker, else
+  /// yields — never sleeps.
+  void join(TaskFrame* t);
 
   /// One attempt to acquire a task as a *free* worker (Algorithm I).
-  /// Returns nullptr when nothing was found (caller backs off).
-  TaskFrame* acquire(bool desperate = false);
+  /// Returns nullptr when nothing was found (caller backs off). `desperate`
+  /// is set once the caller's failed streak crossed kStarvationEscapeFails.
+  TaskFrame* acquire(bool desperate);
 
   /// Returns a completed (or aborted, pre-publication) frame to its home
   /// pool: freelist push when this worker owns it, MPSC remote-free push
@@ -345,6 +344,16 @@ struct EpochContext {
   void capture_exception(std::exception_ptr e) {
     std::lock_guard<std::mutex> lk(exception_mu);
     if (!first_exception) first_exception = std::move(e);
+  }
+
+  /// Rethrows the captured exception, if any, on the submitting thread.
+  void rethrow_captured() {
+    std::exception_ptr thrown;
+    {
+      std::lock_guard<std::mutex> lk(exception_mu);
+      thrown = first_exception;
+    }
+    if (thrown) std::rethrow_exception(thrown);
   }
 
   /// True when CAB must degrade to classic random stealing for this

@@ -97,9 +97,9 @@ struct TaskFrame {
   /// worker (DESIGN.md §5h) rather than in a pool slab or on the heap.
   /// Dereferenced only after the deque hands the frame over, so the
   /// deque's own synchronization covers it: the owner executes such a
-  /// frame in place (Worker::execute_lazy), a thief promotes it into a
-  /// pooled frame first (Worker::promote_lazy). Lazy frames never reach
-  /// finish()/recycle().
+  /// frame in place (Worker::execute's lazy case), a thief promotes it
+  /// into a pooled frame first (Worker::promote_lazy). Lazy frames never
+  /// reach finish()/recycle().
   bool lazy = false;
 
   /// Pool that owns this frame's storage (set once at slab construction,

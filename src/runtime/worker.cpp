@@ -15,10 +15,11 @@ thread_local Worker* tls_worker = nullptr;
 
 namespace {
 
-/// Progressive backoff for spin points. With virtual topologies the worker
-/// count can exceed the physical cores many times over, so we yield early:
-/// the task we are waiting for is likely on a descheduled thread. Sleeps
-/// are counted so parked time is reconstructible as
+/// Progressive backoff for the free worker's acquire loop (worker_main;
+/// a sync wait only yields, see Worker::join). With virtual topologies the
+/// worker count can exceed the physical cores many times over, so we yield
+/// early: the task we are waiting for is likely on a descheduled thread.
+/// Sleeps are counted so parked time is reconstructible as
 /// idle_backoff_sleeps * kIdleBackoffSleep.
 void backoff(int& fails, WorkerStats& stats) {
   ++fails;
@@ -47,12 +48,16 @@ std::int64_t hw_delta(const obs::metrics::HwSample& after,
 }  // namespace
 
 void Worker::execute(TaskFrame* t) {
-  // Lazy frames arrive here only from this worker's own pop_bottom —
-  // every steal path promotes before returning — and run the lean
-  // in-place path.
+  // Lazy frames arrive here only from this worker's own pop_local — every
+  // steal path promotes before returning — and run in place on their
+  // stack slot. The deque hands each entry to exactly one taker, so this
+  // claim cannot lose to a thief that holds the same entry — it is the
+  // model-checked defense-in-depth of the claim protocol
+  // (squad_protocol.hpp), and the negative model BrokenPromotionCas shows
+  // the double execution that skipping the thief-side gate would permit.
   if (t->lazy) {
-    execute_lazy(t);
-    return;
+    const bool owned = LazyFrame::of(t)->claim.try_own();
+    CAB_CHECK(owned, "lazy frame taken twice (owner pop vs promotion)");
   }
   TaskFrame* saved = current;
   current = t;
@@ -93,33 +98,11 @@ void Worker::execute(TaskFrame* t) {
 
   // Implicit sync (Cilk semantics): a task completes only after all its
   // children have. Helping here is what drains the DAG below this task.
-  release_busy_on_suspend(t);
-  if (!t->joined()) {
-    const std::uint64_t wait_start = tr ? obs::now_ns() : 0;
-    const std::uint64_t help0 = stats.help_iterations;
-    const std::uint64_t exec0 = stats.tasks_executed;
-    int fails = 0;
-    while (!t->joined()) {
-      ++stats.help_iterations;
-      // Own-deque fast path: the children this sync waits on are (absent
-      // a steal) right here, so skip the acquire dispatch and go straight
-      // to the pop. A miss falls through to the full Algorithm I probe.
-      if (TaskFrame* c = pop_local()) {
-        ++stats.intra_pop_hits;
-        fails = 0;
-        execute(c);
-      } else if (help_once(fails >= kStarvationEscapeFails)) {
-        fails = 0;
-      } else {
-        backoff(fails, stats);
-      }
-    }
-    if (tr) {
-      tl.record(obs::EventKind::kSyncWait, wait_start, obs::now_ns(),
-                static_cast<std::int32_t>(stats.help_iterations - help0),
-                static_cast<std::int32_t>(stats.tasks_executed - exec0));
-    }
-  }
+  // A lazy frame stays live (its slot unreclaimed, state kOwned) until
+  // then. Most tasks spawn nothing, so the call is skipped when there is
+  // no busy-state to release and nothing to wait for: made for every
+  // task, it costs the 1-worker lazy spawn about 5 ns (a quarter).
+  if (t->inter_acquired_by != nullptr || !t->joined()) join(t);
   if (tr) {
     // Recorded at completion: nested spans (tasks run while helping in
     // the sync above) precede this one in the buffer.
@@ -128,79 +111,76 @@ void Worker::execute(TaskFrame* t) {
   }
 
   current = saved;
-  finish(t);
+  if (t->lazy) {
+    engine->frame_destroyed();
+    // The lazy join: the parent is suspended on this very worker (lazy
+    // children only execute via the owner's pop, and tasks never migrate
+    // mid-body), so its completion half is a plain owner-local bump — the
+    // atomic RMW the lazy path exists to avoid. The root is never lazy, so
+    // parent is always non-null here.
+    ++t->parent->completed_local;
+    LazyFrame::of(t)->claim.finish_owned();
+  } else {
+    finish(t);
+  }
 }
 
-void Worker::execute_lazy(TaskFrame* t) {
-  LazyFrame* lf = LazyFrame::of(t);
-  // The deque hands each entry to exactly one taker, so this claim cannot
-  // lose to a thief that holds the same entry — it is the model-checked
-  // defense-in-depth of the claim protocol (squad_protocol.hpp), and the
-  // negative model BrokenPromotionCas shows the double execution that
-  // skipping the thief-side gate would permit.
-  const bool owned = lf->claim.try_own();
-  CAB_CHECK(owned, "lazy frame taken twice (owner pop vs promotion)");
-  // The lean subset of execute(): a lazy frame is intra-tier on its
-  // owner's deque by construction, so there is no busy-state to release,
-  // no inter-tier hw span, and no pool recycle at the end.
-  TaskFrame* saved = current;
-  current = t;
-  ++stats.tasks_executed;
-  if (t->level > stats.max_task_level) stats.max_task_level = t->level;
-  const bool tr = tl.enabled;
-  const std::uint64_t exec_start = tr ? obs::now_ns() : 0;
-  try {
-    t->body();
-  } catch (...) {
-    ctx->capture_exception(std::current_exception());
+void Worker::join(TaskFrame* t) {
+  // A *non-leaf* inter-socket task that reaches its sync stops executing
+  // on the squad: it must release busy_state or the squad would be barred
+  // from inter-socket work for the task's entire (possibly run-long)
+  // subtree lifetime. Leaf inter-socket tasks (level == BL) keep the
+  // squad busy until their intra-socket subtree completes — that subtree
+  // is the shared-cache residency unit the paper protects.
+  if (Squad* sq = t->inter_acquired_by;
+      sq != nullptr &&
+      !protocol::holds_busy_through_sync(t->has_intra_children)) {
+    t->inter_acquired_by = nullptr;
+    const std::int32_t now = sq->busy_state.release();
+    CAB_CHECK(now >= 0, "squad busy-state underflow at suspend");
+    if (tl.enabled) tl.mark(obs::EventKind::kActiveInter, sq->id, now);
   }
-  t->body.reset();
-  // Implicit sync, same help loop as execute(): the frame stays live (and
-  // its slot unreclaimed, state kOwned) until its children have joined.
-  if (!t->joined()) {
-    const std::uint64_t wait_start = tr ? obs::now_ns() : 0;
-    const std::uint64_t help0 = stats.help_iterations;
-    const std::uint64_t exec0 = stats.tasks_executed;
-    int fails = 0;
-    while (!t->joined()) {
-      ++stats.help_iterations;
-      // Own-deque fast path: the children this sync waits on are (absent
-      // a steal) right here, so skip the acquire dispatch and go straight
-      // to the pop. A miss falls through to the full Algorithm I probe.
-      if (TaskFrame* c = pop_local()) {
-        ++stats.intra_pop_hits;
-        fails = 0;
-        execute(c);
-      } else if (help_once(fails >= kStarvationEscapeFails)) {
-        fails = 0;
-      } else {
-        backoff(fails, stats);
-      }
+  if (t->joined()) return;
+  // A worker blocked at a sync acquires work exactly like a free worker
+  // (Algorithm I, including head-worker inter-socket stealing). This is
+  // what keeps a squad fed while its own subtree work is exhausted but
+  // other squads still hold inter-socket tasks. Misses only yield, never
+  // sleep: a head blocked here must reach the starvation escape after
+  // kStarvationEscapeFails quick probes, not thousands of parked ones.
+  const bool tr = tl.enabled;
+  const std::uint64_t wait_start = tr ? obs::now_ns() : 0;
+  const std::uint64_t help0 = stats.help_iterations;
+  const std::uint64_t exec0 = stats.tasks_executed;
+  int fails = 0;
+  while (!t->joined()) {
+    ++stats.help_iterations;
+    // Own-deque fast path: the children this sync waits on are (absent a
+    // steal) right here, so skip the acquire dispatch and go straight to
+    // the pop. A miss falls through to the full Algorithm I probe.
+    TaskFrame* c = pop_local();
+    if (c != nullptr) {
+      ++stats.intra_pop_hits;
+    } else {
+      c = acquire(fails >= kStarvationEscapeFails);
     }
-    if (tr) {
-      tl.record(obs::EventKind::kSyncWait, wait_start, obs::now_ns(),
-                static_cast<std::int32_t>(stats.help_iterations - help0),
-                static_cast<std::int32_t>(stats.tasks_executed - exec0));
+    if (c != nullptr) {
+      fails = 0;
+      execute(c);
+    } else {
+      ++fails;
+      std::this_thread::yield();
     }
   }
   if (tr) {
-    tl.record(obs::EventKind::kTaskExec, exec_start, obs::now_ns(), t->level,
-              0);
+    tl.record(obs::EventKind::kSyncWait, wait_start, obs::now_ns(),
+              static_cast<std::int32_t>(stats.help_iterations - help0),
+              static_cast<std::int32_t>(stats.tasks_executed - exec0));
   }
-  current = saved;
-  engine->frame_destroyed();
-  // The lazy join: the parent is suspended on this very worker (lazy
-  // children only execute via the owner's pop, and tasks never migrate
-  // mid-body), so its completion half is a plain owner-local bump — the
-  // atomic RMW the lazy path exists to avoid. The root is never lazy, so
-  // parent is always non-null here.
-  ++t->parent->completed_local;
-  lf->claim.finish_owned();
 }
 
 TaskFrame* Worker::promote_lazy(TaskFrame* t) {
   LazyFrame* lf = LazyFrame::of(t);
-  // Same exactly-one-taker argument as execute_lazy's try_own.
+  // Same exactly-one-taker argument as execute()'s try_own.
   const bool claimed = lf->claim.try_promote();
   CAB_CHECK(claimed, "lazy frame taken twice (promotion vs owner pop)");
   // Materialize into *this* worker's pool: the thief executes (and with
@@ -266,36 +246,6 @@ void Worker::recycle(TaskFrame* t) {
     // alloc-ok: --frame-pool=off ablation — frames are plain heap objects.
     delete t;
   }
-}
-
-bool Worker::help_once(bool desperate) {
-  // A worker blocked at a sync behaves like a free worker: the suspended
-  // task released the squad's busy-state already (release_busy_on_suspend),
-  // so Algorithm I — including head-worker inter-socket stealing — applies
-  // unchanged. This is what keeps a squad fed while its own subtree work
-  // is exhausted but other squads still hold inter-socket tasks.
-  TaskFrame* t = acquire(desperate);
-  if (!t) return false;
-  execute(t);
-  return true;
-}
-
-void Worker::release_busy_on_suspend(TaskFrame* t) {
-  // A *non-leaf* inter-socket task that reaches its sync stops executing
-  // on the squad: it must release busy_state or the squad would be barred
-  // from inter-socket work for the task's entire (possibly run-long)
-  // subtree lifetime. Leaf inter-socket tasks (level == BL) keep the
-  // squad busy until their intra-socket subtree completes — that subtree
-  // is the shared-cache residency unit the paper protects.
-  Squad* sq = t->inter_acquired_by;
-  if (sq == nullptr) return;
-  if (protocol::holds_busy_through_sync(t->has_intra_children)) {
-    return;  // leaf inter-socket task: hold
-  }
-  t->inter_acquired_by = nullptr;
-  const std::int32_t now = sq->busy_state.release();
-  CAB_CHECK(now >= 0, "squad busy-state underflow at suspend");
-  if (tl.enabled) tl.mark(obs::EventKind::kActiveInter, sq->id, now);
 }
 
 TaskFrame* Worker::acquire(bool desperate) {

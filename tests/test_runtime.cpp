@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -246,6 +247,32 @@ TEST(Runtime, ExplicitSyncMidBody) {
     combined = b;
   });
   EXPECT_EQ(combined, 42);
+}
+
+// A worker blocked at an implicit sync only yields while it waits: the
+// free-worker backoff that parks an idle thread in 50 us sleeps must not
+// apply, or a blocked head reaches the starvation escape thousands of
+// sleeps late.
+TEST(SyncWait, BlockedImplicitSyncNeverSleeps) {
+  Runtime rt(make_options(SchedulerKind::kCab, 1, 2, 0));
+  std::atomic<bool> started{false};
+  int waiter = -1;
+  rt.run([&] {
+    waiter = Runtime::current_worker();
+    Runtime::spawn([&started] {
+      started.store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    });
+    // The second spawn pushes the first child out of the one-entry spawn
+    // cache onto the deque, where the other worker can steal it.
+    Runtime::spawn([] {});
+    while (!started.load()) std::this_thread::yield();
+    // No explicit sync: the implicit one waits out the stolen sleeper.
+  });
+  ASSERT_GE(waiter, 0);
+  EXPECT_EQ(rt.stats().per_worker[static_cast<std::size_t>(waiter)]
+                .idle_backoff_sleeps,
+            0u);
 }
 
 TEST(Runtime, DeepSerialChainDoesNotDeadlock) {

@@ -46,7 +46,7 @@ void spawn_tree(int depth, std::atomic<int>* leaves) {
 
 TEST(StressProtocol, DeepNestedSpawnChain) {
   // A 400-deep single-spawn chain: every level suspends at a sync and
-  // resumes, exercising release_busy_on_suspend and the help-first sync
+  // resumes, exercising the busy-state release and the help-first sync
   // nesting at maximum depth (the level counter crosses BL once but the
   // inter machinery stays live the whole way down).
   Runtime rt(stress_options(SchedulerKind::kCab, 2, 2, 3));
